@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from ..errors import SimulationError
 from ..sim.job import JobState
 from .profiling import KernelProfilingTable
 
@@ -53,7 +54,7 @@ VECTORIZED = True
 #: (:meth:`RemainingTimeCache.outstanding_sum`) and the 100 us tick is
 #: elided outright while the rank epochs stand still and every priority's
 #: drift provably preserves the published order
-#: (``LaxityScheduler._arm_tick_elision``); ``False`` restores the PR-9
+#: (``LaxityScheduler._elision_horizon``); ``False`` restores the PR-9
 #: behaviour.  Bit-identical either way — argued in
 #: ``docs/performance.md``.
 EVENT_CORE = True
@@ -234,6 +235,22 @@ class RemainingTimeCache:
         self._index(job)
         self._values[job.job_id] = (job.rank_version, value)
         return value
+
+    def cached(self, job: "Job") -> float:
+        """The cached estimate for ``job``, read-only.
+
+        Unlike :meth:`remaining` this neither syncs the profiling table
+        nor recomputes, so it may be called after the clock has moved on
+        from the timestamp the entry was filled at (a sync there would
+        roll the window at the wrong time).  Raises
+        :class:`~repro.errors.SimulationError` when the job has no entry
+        or its ``rank_version`` moved since the entry was filled.
+        """
+        entry = self._values.get(job.job_id)
+        if entry is None or entry[0] != job.rank_version:
+            raise SimulationError(
+                f"no current cached estimate for job {job.job_id}")
+        return entry[1]
 
     def outstanding_sum(self, jobs, now: int, exclude: "Job" = None) -> float:
         """``totRemTime`` in one flattened loop over the cache.

@@ -133,11 +133,14 @@ class LaxityScheduler(SchedulerPolicy):
         #: stays the oracle in A/B runs.
         self._ready_reserve = 0
         #: Event-core tick elision: the epoch key the gate compares
-        #: against (``None`` = disarmed) and the tick horizon (inclusive)
-        #: up to which the published priority order provably drifts
-        #: without re-ranking.  See :meth:`_arm_tick_elision`.
+        #: against (``None`` = disarmed), the time of the full tick that
+        #: recorded it, and the tick horizon (inclusive) up to which the
+        #: published priority order provably drifts without re-ranking —
+        #: ``None`` until the gate first needs it.  See
+        #: :meth:`_record_elision_key` and :meth:`_elision_horizon`.
         self._elide_key: Optional[tuple] = None
-        self._elide_until: float = 0.0
+        self._elide_at: int = 0
+        self._elide_until: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -388,15 +391,15 @@ class LaxityScheduler(SchedulerPolicy):
                 self._update_priorities_vectorized()
             else:
                 self._update_priorities_gated()
-            # Event-core: decide how long the tick body may be skipped
-            # outright.  Armed only when no per-tick side channel is
-            # active (the elided body emits no decisions, feeds no
-            # tracker, and the invariant checker audits by observing
-            # published values at event times).
+            # Event-core: let later ticks skip the body outright.  Armed
+            # only when no per-tick side channel is active (the elided
+            # body emits no decisions, feeds no tracker, and the
+            # invariant checker audits by observing published values at
+            # event times).
             if (laxity_math.EVENT_CORE and self._tick_elidable
                     and self._tracker is None and not self.decisions_enabled
                     and self.ctx.sim.validator is None):
-                self._arm_tick_elision(self.ctx.now)
+                self._record_elision_key(self.ctx.now)
             else:
                 self._elide_key = None
         finally:
@@ -751,32 +754,58 @@ class LaxityScheduler(SchedulerPolicy):
     # Event-core tick elision
     # ------------------------------------------------------------------
 
-    def _arm_tick_elision(self, now: int) -> None:
-        """Compute how many future ticks this tick's results cover.
+    def _record_elision_key(self, now: int) -> None:
+        """Arm the gate at the end of a full tick, in O(1).
 
-        Runs at the end of a full tick.  While the rank epochs stand
-        still, every input to the tick is frozen except the clock: each
-        live job's priority drifts linearly (make-it laxities fall at
-        rate 1, predicted-miss completion times rise at rate 1) and the
-        sweep's rejection inequalities tighten at rate 1.  The margins
-        below bound the first tick offset at which *any* published
-        ordering or sweep decision could differ from simply keeping this
-        tick's values; until then the gated timer re-arms without
-        running the body (:attr:`repro.sim.engine.PeriodicTask.gate`).
-        The epoch key guards everything non-clock: any admission,
-        rejection, completion, WG issue/completion/preemption or window
-        publication bumps one of its three counters and disarms.
+        Records the epoch key and the tick time; the horizon itself is
+        left to :meth:`_tick_gate`, which computes it only if the key
+        still matches at the next tick.  Usually it does not — a WG
+        completion lands in between — and the margin scans would have
+        been thrown away.
 
         Two profiling-table states are *not* covered by the counters and
         block arming outright: unpublished ("volatile") types, whose
         live estimate moves with the clock, and carryover completions,
         whose eventual publication depends on when the next roll runs
-        (the elided body skips its tick-time roll).
+        (the elided body skips its tick-time roll).  Both change only
+        with ``table.mutations``, so reading them here is reading them
+        at any later time the key still matches.
         """
         table = self.ctx.profiler
         if table.unpublished or table.carryover_pending():
             self._elide_key = None
             return
+        self._elide_key = (self.rank_epoch, table.rank_epoch,
+                           table.mutations)
+        self._elide_at = now
+        self._elide_until = None
+
+    def _elision_horizon(self, now: int) -> float:
+        """Last tick time the full tick at ``now`` covers (``-inf``: none).
+
+        While the rank epochs stand still, every input to the tick is
+        frozen except the clock: each live job's priority drifts
+        linearly (make-it laxities fall at rate 1, predicted-miss
+        completion times rise at rate 1) and the sweep's rejection
+        inequalities tighten at rate 1.  The margins below bound the
+        first tick offset at which *any* published ordering or sweep
+        decision could differ from simply keeping that tick's values;
+        until then the gated timer re-arms without running the body
+        (:attr:`repro.sim.engine.PeriodicTask.gate`).  The epoch key
+        guards everything non-clock: any admission, rejection,
+        completion, WG issue/completion/preemption or window publication
+        bumps one of its three counters and disarms.
+
+        Called by the gate after the clock has moved on, with ``now``
+        the recorded tick time.  Everything read here is frozen while
+        the key matches — the job set (arrivals join as *init* jobs,
+        which are skipped), each job's state, deadline and arrival, the
+        standing enqueue order and the cached estimates — so the result
+        is bit-for-bit what the same scan returned at the tick itself.
+        Estimates come from :meth:`RemainingTimeCache.cached`, never
+        :meth:`~RemainingTimeCache.remaining`, whose sync would roll the
+        profiling window at the stale ``now``.
+        """
         cache = self._remaining_cache
         margin = math.inf
         max_makeit = None
@@ -790,7 +819,7 @@ class LaxityScheduler(SchedulerPolicy):
             elapsed = job.elapsed(now)
             if elapsed > deadline:
                 continue  # past-deadline: INFINITE at every tick
-            completion = cache.remaining(job, now) + elapsed
+            completion = cache.cached(job) + elapsed
             if deadline > completion:
                 # Make-it: priority = deadline - completion, falling at
                 # rate 1; flips into the predicted-miss branch when
@@ -820,13 +849,10 @@ class LaxityScheduler(SchedulerPolicy):
             if sweep < margin:
                 margin = sweep
         if margin <= 1.0:
-            self._elide_key = None
-            return
-        horizon = (math.inf if math.isinf(margin)
-                   else int(margin) - 1)  # conservative: strict, floored
-        self._elide_key = (self.rank_epoch, table.rank_epoch,
-                          table.mutations)
-        self._elide_until = now + horizon
+            return -math.inf
+        if math.isinf(margin):
+            return math.inf
+        return now + int(margin) - 1  # conservative: strict, floored
 
     def _sweep_margin(self, now: int) -> float:
         """First tick offset at which the steady-state sweep could act.
@@ -854,10 +880,10 @@ class LaxityScheduler(SchedulerPolicy):
             slack = deadline - dur
             if slack < margin:
                 margin = slack
-            remaining = cache.remaining(job, now)
+            remaining = cache.cached(job)
             if remaining <= 0.0:
                 continue  # no rate info: only the past-deadline rule
-            if state == "running":
+            if state is JobState.RUNNING:
                 tot += remaining
                 continue
             slack = deadline - (tot + remaining + dur)
@@ -883,4 +909,8 @@ class LaxityScheduler(SchedulerPolicy):
         if (key[0] != self.rank_epoch or key[1] != table.rank_epoch
                 or key[2] != table.mutations):
             return False
-        return self.ctx.now <= self._elide_until
+        until = self._elide_until
+        if until is None:
+            until = self._elide_until = self._elision_horizon(
+                self._elide_at)
+        return self.ctx.now <= until
