@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import insort
 from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
 
 from ..config import GPUConfig
@@ -57,6 +56,23 @@ _VEC_MIN_ACTIVE = 64
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..schedulers.base import SchedulerPolicy
+
+
+def _bisect_key(seq: Sequence, target: tuple, key: Callable,
+                lo: int) -> int:
+    """Leftmost index in ``seq[lo:]`` whose ``key`` is not below ``target``.
+
+    ``bisect``'s ``key=`` argument needs Python 3.10; the simulator
+    still supports 3.9.
+    """
+    hi = len(seq)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if key(seq[mid]) < target:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 class WGDispatcher:
@@ -127,16 +143,23 @@ class WGDispatcher:
         self._min_threads_seen = _HUGE
         self._base_order = False
         self._issue_key = None
-        #: Standing issue order for the bucketed vectorized pump: resource
-        #: shape -> [head_index, sorted [(issue_key, kernel), ...]].
-        #: ``None`` means "rebuild from the active set".  Valid only while
-        #: every cached key matches its job's current priority and no
+        #: Standing issue order for the bucketed vectorized pump:
+        #: ``placement_shape + (backfill,)`` -> [head_index, [kernel, ...]]
+        #: with the kernels in ``default_issue_key`` order.  ``None`` means
+        #: "re-rank from ``_shape_lists``".  Valid only while every
+        #: kernel's key matches its job's current priority and no
         #: consumed head can become pending again — hence the eager
         #: :meth:`invalidate_order` calls from priority-writing ticks,
         #: cancellation and preemption.
         self._order_buckets: Optional[dict] = None
+        #: Active kernels per ``placement_shape``, each list sorted by the
+        #: issue key's frozen suffix ``(start, job_id, kernel.index)`` —
+        #: the re-rank's input.  Created by the first rebuild, kept in
+        #: step with ``_active`` while it exists, and dropped with the
+        #: cache when the pump falls below ``_VEC_MIN_ACTIVE``.
+        self._shape_lists: Optional[dict] = None
         #: Bucketed-pump accounting (diagnostics; cheap integer adds).
-        #: ``order_rebuilds`` full sorts of the active set,
+        #: ``order_rebuilds`` re-ranks of the standing order,
         #: ``order_invalidations`` cache drops while a cache existed,
         #: ``bucketed_pumps`` merge pumps run, ``bucket_pops`` heap pops
         #: across them, ``bucket_parks`` whole-bucket capacity parks.
@@ -183,9 +206,19 @@ class WGDispatcher:
         self._active.append(kernel)
         if kernel.descriptor.num_wgs > kernel.wgs_issued:
             self._pending_set[kernel] = None
-        buckets = self._order_buckets
-        if buckets is not None:
-            self._bucket_insert(buckets, kernel)
+        lists = self._shape_lists
+        if lists is not None:
+            shape = kernel.descriptor.placement_shape
+            kernels = lists.get(shape)
+            if kernels is None:
+                lists[shape] = [kernel]
+            else:
+                suffix_key = self._suffix_key
+                kernels.insert(_bisect_key(kernels, suffix_key(kernel),
+                                           suffix_key, 0), kernel)
+            buckets = self._order_buckets
+            if buckets is not None:
+                self._bucket_insert(buckets, kernel)
         self.request_pump()
 
     def request_pump(self) -> None:
@@ -261,6 +294,8 @@ class WGDispatcher:
                                     kernel=kernel.name, detail=evicted)
         if kernel in self._active:
             self._active.remove(kernel)
+            if self._shape_lists is not None:
+                self._shape_list_remove(kernel)
         self._pending_set.pop(kernel, None)
         # The kernel leaves the active set while still pending; drop the
         # cached order rather than search it.
@@ -287,6 +322,24 @@ class WGDispatcher:
     # Internals
     # ------------------------------------------------------------------
 
+    def _suffix_key(self, kernel: KernelInstance) -> tuple:
+        """The issue key's frozen suffix ``(start, job_id, kernel.index)``.
+
+        Fixed before activation (a job's start time is recorded when it
+        binds a queue), so the per-shape lists never need re-sorting.
+        """
+        return self._issue_key(kernel)[1:]
+
+    def _shape_list_remove(self, kernel: KernelInstance) -> None:
+        """Drop a kernel leaving ``_active`` from its per-shape list."""
+        kernels = self._shape_lists[kernel.descriptor.placement_shape]
+        index = _bisect_key(kernels, self._suffix_key(kernel),
+                            self._suffix_key, 0)
+        if index == len(kernels) or kernels[index] is not kernel:
+            raise SimulationError(
+                f"kernel {kernel!r} missing from its standing shape list")
+        del kernels[index]
+
     def _completion_sink(self, cu_id: int) -> Callable[[KernelInstance, int], None]:
         """Per-CU completion callback so traces can attribute the CU."""
         def sink(kernel: KernelInstance, now: int) -> None:
@@ -305,6 +358,8 @@ class WGDispatcher:
         finished = kernel.note_wg_completed(now)
         if finished:
             self._active.remove(kernel)
+            if self._shape_lists is not None:
+                self._shape_list_remove(kernel)
         self.on_wg_complete(kernel, now)
         self.request_pump()
 
@@ -382,10 +437,13 @@ class WGDispatcher:
             return
         vectorized = (self.vectorized and _np is not None
                       and len(self._active) >= _VEC_MIN_ACTIVE)
-        if not vectorized and self._order_buckets is not None:
+        if not vectorized and self._shape_lists is not None:
             # Crossing below the gate: the scalar pump issues WGs without
             # maintaining the standing order, so drop it rather than let
-            # a stale cache greet the next crossing back up.
+            # a stale cache greet the next crossing back up — and the
+            # per-shape lists with it, so sub-gate activations and
+            # completions stop paying for their upkeep.
+            self._shape_lists = None
             self.invalidate_order()
         if vectorized and self._active:
             # The O(1) array check runs *before* the O(active) pending
@@ -563,9 +621,7 @@ class WGDispatcher:
         for kernel in self._policy.issue_order(pending):
             desc = kernel.descriptor
             backfill_only = (math.isinf(kernel.job.priority) or not greedy)
-            shape = (desc.threads_per_wg, desc.vgpr_bytes_per_wg,
-                     desc.lds_bytes_per_wg, desc.cu_concurrency,
-                     backfill_only)
+            shape = desc.placement_shape + (backfill_only,)
             if shape in blocked_shapes:
                 continue
             caps = shape_caps.get(shape)
@@ -668,46 +724,66 @@ class WGDispatcher:
         if served:
             self._note_served(served)
 
-    def _kernel_shape(self, kernel: KernelInstance) -> tuple:
-        """The kernel's placement resource shape (see ``_pump_batched``)."""
-        desc = kernel.descriptor
-        backfill_only = (math.isinf(kernel.job.priority)
-                         or not self._config.greedy_occupancy)
-        return (desc.threads_per_wg, desc.vgpr_bytes_per_wg,
-                desc.lds_bytes_per_wg, desc.cu_concurrency, backfill_only)
-
     def _build_order_buckets(self) -> dict:
-        """Rebuild the standing issue order from the active set."""
-        issue_key = self._issue_key
-        shape_of = self._kernel_shape
+        """Re-rank the standing issue order from the per-shape lists.
+
+        Each list is already sorted by the issue key's frozen suffix, so
+        one stable argsort on the current priorities yields exactly the
+        ``default_issue_key`` order (NumPy and Python agree on every
+        non-NaN float, -0.0 == 0.0 and both infinities included).  The
+        infinite-priority kernels split off into the shape's backfill
+        bucket — or the whole list goes there without greedy occupancy.
+        """
+        lists = self._shape_lists
+        if lists is None:
+            lists = self._shape_lists = {}
+            for kernel in sorted(self._active, key=self._suffix_key):
+                shape = kernel.descriptor.placement_shape
+                kernels = lists.get(shape)
+                if kernels is None:
+                    lists[shape] = [kernel]
+                else:
+                    kernels.append(kernel)
+        greedy = self._config.greedy_occupancy
         buckets: dict = {}
-        for kernel in self._active:
-            shape = shape_of(kernel)
-            entry = buckets.get(shape)
-            if entry is None:
-                entry = buckets[shape] = [0, []]
-            entry[1].append((issue_key(kernel), kernel))
-        for entry in buckets.values():
-            entry[1].sort()
+        for shape, kernels in lists.items():
+            if not kernels:
+                continue
+            priorities = _np.array([k.job.priority for k in kernels])
+            order = _np.argsort(priorities, kind="stable").tolist()
+            ranked = [kernels[i] for i in order]
+            if not greedy:
+                buckets[shape + (True,)] = [0, ranked]
+                continue
+            backfill = _np.isinf(priorities)
+            if not backfill.any():
+                buckets[shape + (False,)] = [0, ranked]
+                continue
+            flags = backfill[order].tolist()
+            greedy_kernels = [k for k, flag in zip(ranked, flags) if not flag]
+            if greedy_kernels:
+                buckets[shape + (False,)] = [0, greedy_kernels]
+            buckets[shape + (True,)] = [
+                0, [k for k, flag in zip(ranked, flags) if flag]]
         self._order_buckets = buckets
         self.order_rebuilds += 1
         return buckets
 
     def _bucket_insert(self, buckets: dict, kernel: KernelInstance) -> None:
-        """Insort a newly activated kernel into the standing order."""
-        shape = self._kernel_shape(kernel)
-        item = (self._issue_key(kernel), kernel)
+        """Insert a newly activated kernel into the standing order."""
+        backfill_only = (math.isinf(kernel.job.priority)
+                         or not self._config.greedy_occupancy)
+        shape = kernel.descriptor.placement_shape + (backfill_only,)
         entry = buckets.get(shape)
         if entry is None:
-            buckets[shape] = [0, [item]]
+            buckets[shape] = [0, [kernel]]
             return
-        index, entries = entry
-        if index:
-            # Drop the consumed prefix first so the insertion point can
-            # never land among already-popped heads.
-            del entries[:index]
-            entry[0] = 0
-        insort(entries, item)
+        index, kernels = entry
+        # Searching only the unconsumed part keeps the insertion point
+        # off the already-popped heads.
+        issue_key = self._issue_key
+        kernels.insert(_bisect_key(kernels, issue_key(kernel), issue_key,
+                                   index), kernel)
 
     def _pump_bucketed_vec(self) -> None:
         """Bucketed-merge batched issue (``vectorized_mode``, base order).
@@ -717,13 +793,18 @@ class WGDispatcher:
         ``default_issue_key``, whose ``(job_id, kernel.index)`` suffix
         makes every key unique).  Instead of re-scanning and re-ranking
         the whole active set each pump, the sorted order is kept standing
-        across pumps, bucketed by placement resource shape, and each pump
-        runs a k-way merge over the bucket *heads*:
+        across pumps, bucketed by placement resource shape plus the
+        backfill bit; each bucket holds bare kernels in key order
+        (:meth:`_build_order_buckets` re-ranks them after an
+        invalidation), and each pump runs a k-way merge over the bucket
+        *heads*, computing ``default_issue_key`` only for the heads it
+        pushes:
 
-        * cached keys always equal fresh keys — every ``job.priority``
-          rewrite that can touch an active kernel invalidates the cache
-          (scheduler ticks via :meth:`invalidate_order`; cancellation and
-          preemption internally), and the remaining key fields
+        * the bucket order always equals the fresh key order — every
+          ``job.priority`` rewrite that can touch an active kernel
+          invalidates the cache (scheduler ticks via
+          :meth:`invalidate_order`; cancellation and preemption
+          internally), and the remaining key fields
           (``start_time``/arrival, ids) are frozen before activation;
         * a head is consumed permanently only when it stops being pending
           (fully issued or finished) — monotone within the cache's
@@ -747,11 +828,12 @@ class WGDispatcher:
         buckets = self._order_buckets
         if buckets is None:
             buckets = self._build_order_buckets()
+        issue_key = self._issue_key
         heap = []
         for shape, entry in buckets.items():
             index, entries = entry
             if index < len(entries):
-                heap.append((entries[index][0], shape))
+                heap.append((issue_key(entries[index]), shape))
         if not heap:
             return
         self.bucketed_pumps += 1
@@ -780,7 +862,7 @@ class WGDispatcher:
             entry = buckets[shape]
             index = entry[0]
             entries = entry[1]
-            kernel = entries[index][1]
+            kernel = entries[index]
             desc = kernel.descriptor
             if kernel.wgs_issued >= desc.num_wgs:
                 # Permanently non-pending: consume the head and surface
@@ -788,7 +870,7 @@ class WGDispatcher:
                 index += 1
                 entry[0] = index
                 if index < len(entries):
-                    heappush(heap, (entries[index][0], shape))
+                    heappush(heap, (issue_key(entries[index]), shape))
                 continue
             caps = shape_caps.get(shape)
             if caps is None:
@@ -836,7 +918,7 @@ class WGDispatcher:
                 index += 1
                 entry[0] = index
                 if index < len(entries):
-                    heappush(heap, (entries[index][0], shape))
+                    heappush(heap, (issue_key(entries[index]), shape))
                 continue
             assigned = [0] * num_cus
             first_pick = [-1] * num_cus
@@ -896,7 +978,7 @@ class WGDispatcher:
                 index += 1
                 entry[0] = index
                 if index < len(entries):
-                    heappush(heap, (entries[index][0], shape))
+                    heappush(heap, (issue_key(entries[index]), shape))
             # else: partial issue — the shape is exhausted, the kernel
             # stays pending at its bucket's head (parked, no re-push).
         for cu in touched:
@@ -945,15 +1027,13 @@ class WGDispatcher:
                     else None)
         occ = self._occ
         wavefront_size = self._wavefront_size
-        infinity = math.inf
+        isinf = math.isinf
         # Pre-filter, memoized per (descriptor, backfill) so the common
-        # case costs two dict probes per kernel.  Shapes are shared
+        # case costs one dict probe per kernel.  Shapes are shared
         # across descriptors, so capacity vectors are still computed at
         # most once per distinct resource shape.
         ok_greedy: dict = {}
         ok_backfill: dict = {}
-        shape_of_greedy: dict = {}
-        shape_of_backfill: dict = {}
         shape_caps: dict = {}
         live_shapes = set()
         blocked_shapes = set()
@@ -961,21 +1041,12 @@ class WGDispatcher:
         append_feasible = feasible.append
         for kernel in pending:
             desc = kernel.descriptor
-            if kernel.job.priority == infinity or not greedy:
-                table = ok_backfill
-                shapes = shape_of_backfill
-                backfill_only = True
-            else:
-                table = ok_greedy
-                shapes = shape_of_greedy
-                backfill_only = False
+            backfill_only = isinf(kernel.job.priority) or not greedy
+            table = ok_backfill if backfill_only else ok_greedy
             did = id(desc)
             ok = table.get(did)
             if ok is None:
-                shape = (desc.threads_per_wg, desc.vgpr_bytes_per_wg,
-                         desc.lds_bytes_per_wg, desc.cu_concurrency,
-                         backfill_only)
-                shapes[did] = shape
+                shape = desc.placement_shape + (backfill_only,)
                 if shape not in shape_caps:
                     caps = occ.capacity(
                         desc.threads_per_wg,
@@ -1004,10 +1075,8 @@ class WGDispatcher:
                 # continues.
                 break
             desc = kernel.descriptor
-            if kernel.job.priority == infinity or not greedy:
-                shape = shape_of_backfill[id(desc)]
-            else:
-                shape = shape_of_greedy[id(desc)]
+            shape = desc.placement_shape + (isinf(kernel.job.priority)
+                                            or not greedy,)
             if shape in blocked_shapes:
                 continue
             caps = shape_caps.get(shape)

@@ -74,6 +74,11 @@ class KernelDescriptor:
         # Precomputed wave64 occupancy (hot path: per-WG placement checks).
         object.__setattr__(self, "wavefronts64",
                            math.ceil(self.threads_per_wg / 64))
+        # Placement resource shape: the dispatcher's capacity-memo and
+        # standing-order bucket key (plus the backfill bit).
+        object.__setattr__(self, "placement_shape", (
+            self.threads_per_wg, self.vgpr_bytes_per_wg,
+            self.lds_bytes_per_wg, self.cu_concurrency))
         # Full-rate bandwidth demand of one WG, bytes per tick.
         object.__setattr__(self, "bw_demand",
                            self.bytes_per_wg / self.wg_work)

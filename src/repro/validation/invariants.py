@@ -30,7 +30,14 @@ The invariants enforced, per event:
   back to its job, free + bound covers all queues, no job is both bound
   and backlogged);
 * **job_lifecycle** — terminal jobs carry their timestamps, completed
-  jobs have no unfinished kernels, accounting matches the metrics.
+  jobs have no unfinished kernels, accounting matches the metrics;
+* **standing_order** — while the dispatcher holds a bucketed issue
+  order, each bucket's unconsumed kernels are strictly ascending by
+  their *current* ``default_issue_key`` and sit in the bucket of their
+  placement shape and backfill bit, every pending active kernel is in
+  one, and the per-shape lists behind the order mirror the active set
+  in frozen-suffix order — so a ``job.priority`` write that skips
+  ``WGDispatcher.invalidate_order()`` is caught at the next pump.
 
 Disabled (no checker attached) the hooks cost one ``is not None``
 attribute check per event — the same off-path discipline as the
@@ -228,6 +235,80 @@ class InvariantChecker:
             seen_jobs.setdefault(kernel.job.job_id, kernel.job)
         for job in seen_jobs.values():
             self._check_job_conservation(job, dispatcher)
+        if (dispatcher._order_buckets is not None
+                or dispatcher._shape_lists is not None):
+            self._check_standing_order(dispatcher)
+
+    def _check_standing_order(self, dispatcher: "WGDispatcher") -> None:
+        self._count("standing_order")
+        issue_key = dispatcher._issue_key
+        greedy = self._config.gpu.greedy_occupancy
+        active = dispatcher.active_kernels
+        lists = dispatcher._shape_lists
+        if lists is not None:
+            listed = 0
+            for shape, kernels in lists.items():
+                previous = None
+                for kernel in kernels:
+                    listed += 1
+                    suffix = issue_key(kernel)[1:]
+                    context = {"job": kernel.job.job_id,
+                               "kernel": kernel.name, "index": kernel.index,
+                               "shape": list(shape)}
+                    if kernel.descriptor.placement_shape != shape:
+                        self._fail("standing_order",
+                                   f"kernel {kernel.name}#{kernel.index} "
+                                   f"listed under foreign shape {shape}",
+                                   context)
+                    if previous is not None and not previous < suffix:
+                        self._fail("standing_order",
+                                   f"shape list {shape} out of suffix order "
+                                   f"at kernel {kernel.name}#{kernel.index}",
+                                   context)
+                    previous = suffix
+            members = {kernel for kernels in lists.values()
+                       for kernel in kernels}
+            if listed != len(active) or any(k not in members for k in active):
+                self._fail("standing_order",
+                           f"shape lists hold {listed} kernels but the "
+                           f"active set has {len(active)}",
+                           {"listed": listed, "active": len(active)})
+        buckets = dispatcher._order_buckets
+        if buckets is None:
+            return
+        queued = set()
+        for shape, (head, kernels) in buckets.items():
+            previous = None
+            for kernel in kernels[head:]:
+                key = issue_key(kernel)
+                context = {"job": kernel.job.job_id, "kernel": kernel.name,
+                           "index": kernel.index, "shape": list(shape),
+                           "priority": kernel.job.priority}
+                backfill = math.isinf(kernel.job.priority) or not greedy
+                if kernel.descriptor.placement_shape + (backfill,) != shape:
+                    self._fail("standing_order",
+                               f"kernel {kernel.name}#{kernel.index} of job "
+                               f"{kernel.job.job_id} sits in bucket {shape} "
+                               f"but its shape is "
+                               f"{kernel.descriptor.placement_shape} with "
+                               f"backfill={backfill}", context)
+                if previous is not None and not previous < key:
+                    self._fail("standing_order",
+                               f"bucket {shape} out of issue-key order at "
+                               f"kernel {kernel.name}#{kernel.index} of job "
+                               f"{kernel.job.job_id} (a priority rewrite "
+                               f"without invalidate_order?)", context)
+                previous = key
+                queued.add(kernel)
+        for kernel in active:
+            if kernel.wgs_pending > 0 and kernel not in queued:
+                self._fail("standing_order",
+                           f"pending kernel {kernel.name}#{kernel.index} of "
+                           f"job {kernel.job.job_id} missing from the "
+                           f"standing order",
+                           {"job": kernel.job.job_id, "kernel": kernel.name,
+                            "index": kernel.index,
+                            "pending": kernel.wgs_pending})
 
     def _check_kernel_conservation(self, kernel: "KernelInstance",
                                    dispatcher: "WGDispatcher") -> None:
